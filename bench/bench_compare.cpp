@@ -223,7 +223,8 @@ main(int argc, char** argv)
         std::vector<std::pair<std::string, std::string>> notes;
         notes.emplace_back("baseline", baseline_path);
         if (!bench::writeKernelJson(
-                out_path, bench::kernelEntriesJson(fresh, notes)))
+                out_path,
+                bench::kernelEntriesJson("bench_kernels", fresh, notes)))
             std::fprintf(stderr, "warning: cannot write %s\n",
                          out_path.c_str());
         else
@@ -250,7 +251,8 @@ main(int argc, char** argv)
     }
     if (update) {
         if (bench::writeKernelJson(
-                baseline_path, bench::kernelEntriesJson(fresh, {})))
+                baseline_path,
+                bench::kernelEntriesJson("bench_kernels", fresh, {})))
             std::printf("baseline %s updated\n",
                         baseline_path.c_str());
         else

@@ -32,9 +32,14 @@ main(int argc, char** argv)
                                eq == std::string::npos
                                    ? std::string()
                                    : kv.substr(eq + 1));
-        } else if (positional == 0) {
+        } else if (argv[i][0] != '-' && positional++ == 0) {
             out_path = argv[i];
-            ++positional;
+        } else {
+            std::fprintf(stderr,
+                         "unknown argument: %s\n"
+                         "usage: %s [out.json] [--note key=value]...\n",
+                         argv[i], argv[0]);
+            return 2;
         }
     }
 
@@ -49,7 +54,8 @@ main(int argc, char** argv)
     const auto entries = bench::runKernelEntries(log_n, threads);
 
     if (!bench::writeKernelJson(
-            out_path, bench::kernelEntriesJson(entries, notes))) {
+            out_path,
+            bench::kernelEntriesJson("bench_kernels", entries, notes))) {
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
         return 1;
     }

@@ -24,7 +24,8 @@
  *            gate budget (SHA-256's ~520k-point SRS)
  *
  * Writes BENCH_mem_footprint.json (same "results" envelope as
- * BENCH_kernels.json, so bench_compare --against can diff two runs).
+ * BENCH_kernels.json, so bench_compare --against can diff two runs)
+ * and exits 1 when the file cannot be written.
  * Memory profiling is force-enabled; under sanitizer builds the shim
  * compiles out and the alloc columns read 0 while the RSS columns
  * stay real.
@@ -33,8 +34,8 @@
 #include <cstdint>
 #include <cstdio>
 
-#include "bench_util.h"
 #include "common/timer.h"
+#include "kernels_common.h"
 #include "obs/memprof.h"
 #include "r1cs/witness.h"
 #include "r1cs/zoo.h"
@@ -157,7 +158,8 @@ runEntry(const r1cs::zoo::Entry<typename Curve::Fr>& e,
     }
 }
 
-void
+/** Write BENCH_mem_footprint.json; false on I/O failure. */
+bool
 writeJson(const std::vector<Row>& rows)
 {
     std::string json = "{\n  \"bench\": \"bench_mem_footprint\",\n"
@@ -189,16 +191,7 @@ writeJson(const std::vector<Row>& rows)
         json += buf;
     }
     json += "  ]\n}\n";
-    std::FILE* f = std::fopen("BENCH_mem_footprint.json", "w");
-    if (!f) {
-        std::fprintf(stderr,
-                     "warning: cannot write "
-                     "BENCH_mem_footprint.json\n");
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("results written to BENCH_mem_footprint.json\n");
+    return writeKernelJson("BENCH_mem_footprint.json", json);
 }
 
 } // namespace
@@ -263,6 +256,10 @@ main(int argc, char** argv)
                     (double)obs::memprof::peakRssBytes())
                     .c_str());
 
-    writeJson(rows);
+    if (!writeJson(rows)) {
+        std::fprintf(stderr, "cannot write BENCH_mem_footprint.json\n");
+        return 1;
+    }
+    std::printf("results written to BENCH_mem_footprint.json\n");
     return 0;
 }

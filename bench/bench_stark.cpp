@@ -83,7 +83,6 @@ runTimings(const std::string& out_path)
 
     std::vector<KernelEntry> entries;
     std::vector<std::pair<std::string, std::string>> notes;
-    notes.emplace_back("bench", "bench_stark");
     notes.emplace_back("queries", std::to_string(params.queries));
     notes.emplace_back("grind_bits",
                        std::to_string(params.grindBits));
@@ -123,7 +122,8 @@ runTimings(const std::string& out_path)
     }
     printTable("STARK prove/verify (transparent, no setup)", table);
 
-    const std::string json = kernelEntriesJson(entries, notes);
+    const std::string json =
+        kernelEntriesJson("bench_stark", entries, notes);
     if (!writeKernelJson(out_path, json)) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
@@ -143,38 +143,14 @@ StarkObservation
 observeStarkProve(const stark::Air& air, std::size_t threads,
                   sim::u32 sample_mask)
 {
-    const double scale = (double)(sample_mask + 1);
-
-    std::vector<std::unique_ptr<sim::CacheHierarchy>> caches;
-    std::vector<std::unique_ptr<sim::GsharePredictor>> predictors;
-    std::vector<sim::TraceSink*> sinks;
-    for (const sim::CpuModel* cpu : sim::allCpuModels()) {
-        caches.push_back(std::make_unique<sim::CacheHierarchy>(
-            cpu->makeHierarchy(2'000'000)));
-        predictors.push_back(std::make_unique<sim::GsharePredictor>(
-            cpu->name, cpu->predictorBits));
-        sinks.push_back(caches.back().get());
-        sinks.push_back(predictors.back().get());
-    }
-
+    const core::CpuModelSinks models(2'000'000);
     sim::drainWorkerCounters();
     const sim::Counters before = sim::counters();
-    (void)stark::prove(air, benchParams(), threads, sinks,
+    (void)stark::prove(air, benchParams(), threads, models.sinks(),
                        sample_mask);
     sim::drainWorkerCounters();
-
-    StarkObservation obs;
-    obs.counters =
-        stark::starkCountersDelta(before, sim::counters());
-    const auto& models = sim::allCpuModels();
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        core::CpuObservation c;
-        c.cpu = models[i];
-        c.llcLoadMisses =
-            (double)caches[i]->llcLoadMisses() * scale;
-        obs.cpus.push_back(c);
-    }
-    return obs;
+    return {sim::counters().since(before),
+            models.observations(sample_mask)};
 }
 
 int
@@ -263,15 +239,28 @@ int
 main(int argc, char** argv)
 {
     using namespace zkp::bench;
+    bool smoke = false, mix = false;
+    std::string out_path = "BENCH_stark.json";
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--smoke") == 0) {
+            smoke = true;
+        } else if (std::strcmp(argv[i], "--mix") == 0) {
+            mix = true;
+        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+            out_path = argv[++i];
+        } else {
+            std::fprintf(stderr,
+                         "unknown argument: %s\n"
+                         "usage: %s [--mix] [--smoke] [--out <path>]\n",
+                         argv[i], argv[0]);
+            return 2;
+        }
+    }
     std::printf("bench_stark: transparent STARK/FRI backend "
                 "(Goldilocks, SHA-256 Merkle, blowup 8)\n");
-    if (hasFlag(argc, argv, "--smoke"))
+    if (smoke)
         return runSmoke();
-    if (hasFlag(argc, argv, "--mix"))
+    if (mix)
         return runMix();
-    std::string out_path = "BENCH_stark.json";
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], "--out") == 0)
-            out_path = argv[i + 1];
     return runTimings(out_path);
 }

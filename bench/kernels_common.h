@@ -209,14 +209,18 @@ kernelJsonEscape(std::string& out, const std::string& s)
     }
 }
 
-/** Render entries in the BENCH_kernels.json schema. */
+/**
+ * Render entries in the BENCH_kernels.json schema, labelled with the
+ * emitting binary @p bench ("bench_kernels", "bench_stark").
+ */
 inline std::string
 kernelEntriesJson(
-    const std::vector<KernelEntry>& entries,
+    const std::string& bench, const std::vector<KernelEntry>& entries,
     const std::vector<std::pair<std::string, std::string>>& notes)
 {
-    std::string json = "{\n  \"bench\": \"bench_kernels\",\n";
-    json += "  \"notes\": {";
+    std::string json = "{\n  \"bench\": \"";
+    kernelJsonEscape(json, bench);
+    json += "\",\n  \"notes\": {";
     for (std::size_t i = 0; i < notes.size(); ++i) {
         json += i ? ", \"" : "\"";
         kernelJsonEscape(json, notes[i].first);

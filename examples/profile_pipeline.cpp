@@ -36,6 +36,7 @@
 #include "core/analysis.h"
 #include "obs/memprof.h"
 #include "obs/pmu.h"
+#include "obs/report.h"
 #include "r1cs/zoo.h"
 #include "snark/curve.h"
 
@@ -113,6 +114,8 @@ main(int argc, char** argv)
         threads = 1;
     if (want_mem)
         obs::memprof::setTracking(true); // refusal notice on stderr
+    if (!json_path.empty())
+        obs::startRunReport();
 
     using Fr = snark::Bn254::Fr;
     const auto* entry = r1cs::zoo::find<Fr>(circuit);
@@ -244,7 +247,7 @@ main(int argc, char** argv)
         std::printf("  %-28s %5.1f%%\n", f.function.c_str(), f.pct);
 
     if (!json_path.empty()) {
-        if (core::writeRunReport(json_path))
+        if (obs::writeRunReport(json_path))
             std::printf("\nrun report written to %s\n",
                         json_path.c_str());
         else

@@ -2,14 +2,44 @@
 
 #include <algorithm>
 
-#include "obs/report.h"
-
 namespace zkp::core {
 
-bool
-writeRunReport(const std::string& path)
+CpuModelSinks::CpuModelSinks(u64 window_instr) : windowInstr_(window_instr)
 {
-    return obs::writeRunReport(path);
+    for (const sim::CpuModel* cpu : sim::allCpuModels()) {
+        caches_.push_back(std::make_unique<sim::CacheHierarchy>(
+            cpu->makeHierarchy(window_instr)));
+        predictors_.push_back(std::make_unique<sim::GsharePredictor>(
+            cpu->name, cpu->predictorBits));
+        sinks_.push_back(caches_.back().get());
+        sinks_.push_back(predictors_.back().get());
+    }
+}
+
+std::vector<CpuObservation>
+CpuModelSinks::observations(sim::u32 sample_mask) const
+{
+    const double scale = (double)(sample_mask + 1);
+    const auto& models = sim::allCpuModels();
+    std::vector<CpuObservation> out;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        const sim::CacheHierarchy& h = *caches_[i];
+        const sim::GsharePredictor& p = *predictors_[i];
+        CpuObservation c;
+        c.cpu = models[i];
+        c.l1Misses = (double)h.l1().stats().misses * scale;
+        c.l2Misses = (double)h.l2().stats().misses * scale;
+        c.llcLoadMisses = (double)h.llcLoadMisses() * scale;
+        c.llcTotalMisses =
+            (double)(h.llcLoadMisses() + h.llcStoreMisses()) * scale;
+        c.dramBytes = (double)h.dramBytes() * scale;
+        c.peakWindowBytes = (double)h.peakWindowBytes() * scale;
+        c.windowInstr = windowInstr_;
+        c.branchEvents = (double)p.stats().events;
+        c.branchMispredicts = (double)p.stats().mispredicts;
+        out.push_back(c);
+    }
+    return out;
 }
 
 double

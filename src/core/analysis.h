@@ -27,14 +27,6 @@
 
 namespace zkp::core {
 
-/**
- * Write the run report accumulated by every StageRunner::run() so far
- * (one JSON record per instrumented stage execution, with counter
- * deltas and per-kernel span attribution — see obs/report.h) to
- * @p path. Returns false on I/O failure.
- */
-bool writeRunReport(const std::string& path);
-
 /** Common sweep parameters. */
 struct SweepConfig
 {
@@ -63,6 +55,33 @@ struct CpuObservation
     double branchMispredicts = 0;
 };
 
+/**
+ * The simulated hardware of every modelled CPU — one cache hierarchy
+ * and one branch predictor each — attached to a measured region as
+ * trace sinks, then read back as one CpuObservation per CPU.
+ */
+class CpuModelSinks
+{
+  public:
+    /** @param window_instr instruction window for bandwidth tracking */
+    explicit CpuModelSinks(u64 window_instr);
+
+    /** The sinks to pass to core::measure (or stark::prove). */
+    const std::vector<sim::TraceSink*>& sinks() const { return sinks_; }
+
+    /**
+     * What each modelled CPU saw, scaled back up by the memory-trace
+     * sampling rate @p sample_mask the region ran with.
+     */
+    std::vector<CpuObservation> observations(sim::u32 sample_mask) const;
+
+  private:
+    u64 windowInstr_;
+    std::vector<std::unique_ptr<sim::CacheHierarchy>> caches_;
+    std::vector<std::unique_ptr<sim::GsharePredictor>> predictors_;
+    std::vector<sim::TraceSink*> sinks_;
+};
+
 /** One instrumented stage run plus what the simulated hardware saw. */
 struct StageObservation
 {
@@ -82,45 +101,15 @@ StageObservation
 observeStage(StageRunner<Curve>& runner, Stage stage,
              const SweepConfig& cfg)
 {
-    const double scale = (double)(cfg.sampleMask + 1);
-
-    std::vector<std::unique_ptr<sim::CacheHierarchy>> caches;
-    std::vector<std::unique_ptr<sim::GsharePredictor>> predictors;
-    std::vector<sim::TraceSink*> sinks;
-    for (const sim::CpuModel* cpu : sim::allCpuModels()) {
-        caches.push_back(std::make_unique<sim::CacheHierarchy>(
-            cpu->makeHierarchy(cfg.bandwidthWindowInstr)));
-        predictors.push_back(std::make_unique<sim::GsharePredictor>(
-            cpu->name, cpu->predictorBits));
-        sinks.push_back(caches.back().get());
-        sinks.push_back(predictors.back().get());
-    }
-
+    CpuModelSinks models(cfg.bandwidthWindowInstr);
     resetParallelWorkSeconds();
     StageObservation obs;
     obs.stage = stage;
     obs.constraints = runner.constraints();
-    obs.run = runner.run(stage, cfg.threads, sinks, cfg.sampleMask);
+    obs.run =
+        runner.run(stage, cfg.threads, models.sinks(), cfg.sampleMask);
     obs.parallelSeconds = parallelWorkSeconds();
-
-    const auto& models = sim::allCpuModels();
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        CpuObservation c;
-        c.cpu = models[i];
-        const auto& h = *caches[i];
-        c.l1Misses = (double)h.l1().stats().misses * scale;
-        c.l2Misses = (double)h.l2().stats().misses * scale;
-        c.llcLoadMisses = (double)h.llcLoadMisses() * scale;
-        c.llcTotalMisses =
-            (double)(h.llcLoadMisses() + h.llcStoreMisses()) * scale;
-        c.dramBytes = (double)h.dramBytes() * scale;
-        c.peakWindowBytes = (double)h.peakWindowBytes() * scale;
-        c.windowInstr = cfg.bandwidthWindowInstr;
-        c.branchEvents = (double)predictors[i]->stats().events;
-        c.branchMispredicts =
-            (double)predictors[i]->stats().mispredicts;
-        obs.cpus.push_back(c);
-    }
+    obs.cpus = models.observations(cfg.sampleMask);
     return obs;
 }
 

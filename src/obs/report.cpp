@@ -1,5 +1,6 @@
 #include "obs/report.h"
 
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 
@@ -25,7 +26,28 @@ std::vector<StageReport>& reports()
     return r;
 }
 
+std::atomic<bool> gArmed{false};
+
 } // namespace
+
+void
+startRunReport()
+{
+    clearStageReports();
+    gArmed.store(true, std::memory_order_release);
+}
+
+void
+stopRunReport()
+{
+    gArmed.store(false, std::memory_order_release);
+}
+
+bool
+runReportArmed()
+{
+    return gArmed.load(std::memory_order_acquire);
+}
 
 void
 recordStageReport(StageReport report)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Run reports: one machine-readable record per instrumented stage
- * execution (StageRunner::run), accumulated process-wide and
+ * execution (core::measure — the SNARK stages of StageRunner and the
+ * STARK prover/verifier stages), accumulated process-wide and
  * serialized to a single JSON document.
  *
  * A record carries the stage identity (stage, curve, constraint
@@ -11,9 +12,12 @@
  * total time, which is the per-kernel attribution the paper's Table
  * IV reports per stage.
  *
- * Activation: core::StageRunner records automatically; write the
- * document with writeRunReport(path), the ZKP_REPORT=path environment
- * variable (flushed at exit), or profile_pipeline --json <path>.
+ * Activation: stages are recorded only while a report is armed, so a
+ * long-running process that never writes a report (a proof server)
+ * accumulates nothing. startRunReport() arms it; the ZKP_REPORT=path
+ * environment variable arms it at startup and writes the document at
+ * exit, and profile_pipeline --json <path> arms it and writes the
+ * document with writeRunReport(path) when the run ends.
  */
 
 #ifndef ZKP_OBS_REPORT_H
@@ -62,6 +66,18 @@ struct StageReport
     /// ZKP_MEMPROF=1 (mem.tracked marks them valid).
     memprof::StageMem mem;
 };
+
+/**
+ * Drop any accumulated records and start recording stage executions
+ * (the counterpart of startTracing for the run report).
+ */
+void startRunReport();
+
+/** Stop recording; accumulated records stay readable. */
+void stopRunReport();
+
+/** True while stage executions are being recorded. */
+bool runReportArmed();
 
 /** Append one record to the process-wide report. Thread-safe. */
 void recordStageReport(StageReport report);

@@ -348,8 +348,8 @@ namespace {
 
 /**
  * Environment activation: ZKP_TRACE=path enables tracing for the
- * whole process and flushes at exit; ZKP_REPORT=path writes the
- * accumulated run report at exit (see obs/report.h).
+ * whole process and flushes at exit; ZKP_REPORT=path arms the run
+ * report and writes it at exit (see obs/report.h).
  */
 struct EnvInit
 {
@@ -362,6 +362,7 @@ struct EnvInit
         if (const char* p = std::getenv("ZKP_REPORT"); p && *p) {
             static std::string path;
             path = p;
+            startRunReport();
             std::atexit([] { writeRunReport(path); });
         }
     }

@@ -176,6 +176,25 @@ struct Counters
         allocBytes += o.allocBytes;
         memcpyBytes += o.memcpyBytes;
     }
+
+    /** Counts accumulated since snapshot @p before (this - before). */
+    Counters
+    since(const Counters& before) const
+    {
+        Counters d;
+        d.compute = compute - before.compute;
+        d.control = control - before.control;
+        d.data = data - before.data;
+        d.loads = loads - before.loads;
+        d.stores = stores - before.stores;
+        d.branches = branches - before.branches;
+        for (std::size_t i = 0; i < kNumPrimOps; ++i)
+            d.prim[i] = prim[i] - before.prim[i];
+        d.imuls = imuls - before.imuls;
+        d.allocBytes = allocBytes - before.allocBytes;
+        d.memcpyBytes = memcpyBytes - before.memcpyBytes;
+        return d;
+    }
 };
 
 /** The calling thread's counters. */

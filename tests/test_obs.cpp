@@ -519,7 +519,7 @@ TEST(MetricsTest, JsonAndCsvExport)
 TEST(ReportTest, StageRunnerEmitsRecordsWithKernelAttribution)
 {
     obs::stopTracing();
-    obs::clearStageReports();
+    obs::startRunReport();
     obs::startTracing("");
 
     core::StageRunner<snark::Bn254> runner(64);
@@ -527,6 +527,7 @@ TEST(ReportTest, StageRunnerEmitsRecordsWithKernelAttribution)
     runner.run(core::Stage::Proving, 2);
 
     obs::stopTracing();
+    obs::stopRunReport();
 
     auto reports = obs::stageReports();
     ASSERT_GE(reports.size(), 2u);
@@ -745,10 +746,12 @@ TEST(PmuTest, DeriveStatsMath)
 TEST(PmuTest, RunReportAlwaysCarriesHwSection)
 {
     obs::stopTracing();
-    obs::clearStageReports();
+    obs::startRunReport();
 
     core::StageRunner<snark::Bn254> runner(64);
     runner.run(core::Stage::Compile, 1);
+    obs::stopRunReport();
+    ASSERT_EQ(obs::stageReports().size(), 1u);
 
     const std::string json = obs::runReportJson();
     EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);

@@ -4,7 +4,7 @@
  * widening-multiply reference, NTT round-trips over the small field,
  * Merkle commitments, Fiat-Shamir channel determinism, and full
  * prove/verify round-trips for both shipped AIRs including
- * serialization.
+ * serialization, and the run-report records of the STARK stages.
  *
  * The negative-path suite (tampered openings, wrong folds, truncated
  * bytes) lives in test_verifier_negative.cpp with the other schemes.
@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "poly/domain.h"
 #include "stark/air.h"
 #include "stark/channel.h"
@@ -217,6 +219,45 @@ TEST(Stark, ProofIsDeterministic)
     const auto a = serializeProof(prove(air, params, 1));
     const auto b = serializeProof(prove(air, params, 2));
     EXPECT_EQ(a, b) << "proof depends on thread count";
+}
+
+TEST(StarkReport, StagesRecordOnlyWhileReportIsArmed)
+{
+    MimcAir air(64, Gl::fromU64(5));
+    const StarkParams params = testParams();
+    const auto proveAndVerify = [&] {
+        ASSERT_TRUE(verify(air, params, prove(air, params, 2)));
+    };
+
+    // Unarmed (a proof server, a bench without ZKP_REPORT): nothing
+    // accumulates however many proofs run.
+    obs::stopRunReport();
+    obs::clearStageReports();
+    proveAndVerify();
+    EXPECT_TRUE(obs::stageReports().empty());
+
+    obs::startRunReport();
+    obs::startTracing("");
+    proveAndVerify();
+    obs::stopTracing();
+    obs::stopRunReport();
+
+    const auto reports = obs::stageReports();
+    const std::vector<std::string> expected{
+        "stark_trace_gen", "stark_lde",   "stark_commit",
+        "stark_fri",       "stark_query", "stark_verify"};
+    ASSERT_EQ(reports.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const obs::StageReport& r = reports[i];
+        EXPECT_EQ(r.stage, expected[i]);
+        EXPECT_EQ(r.curve, "gl64/" + air.name());
+        EXPECT_EQ(r.constraints, air.steps() * air.columns());
+        ASSERT_FALSE(r.counters.empty());
+        EXPECT_EQ(r.counters[0].first, "instructions");
+        EXPECT_GT(r.counters[0].second, 0.0) << r.stage;
+        EXPECT_FALSE(r.topSpans.empty()) << r.stage;
+    }
+    obs::clearStageReports();
 }
 
 } // namespace
