@@ -27,6 +27,7 @@
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "ec/msm.h"
+#include "obs/json.h"
 #include "obs/memprof.h"
 #include "poly/domain.h"
 
@@ -199,16 +200,6 @@ runKernelEntries(std::size_t log_n, std::size_t threads)
     return entries;
 }
 
-inline void
-kernelJsonEscape(std::string& out, const std::string& s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-}
-
 /**
  * Render entries in the BENCH_kernels.json schema, labelled with the
  * emitting binary @p bench ("bench_kernels", "bench_stark").
@@ -218,27 +209,26 @@ kernelEntriesJson(
     const std::string& bench, const std::vector<KernelEntry>& entries,
     const std::vector<std::pair<std::string, std::string>>& notes)
 {
-    std::string json = "{\n  \"bench\": \"";
-    kernelJsonEscape(json, bench);
-    json += "\",\n  \"notes\": {";
+    auto quote = [](const std::string& s) {
+        return obs::JsonWriter().value(s).take();
+    };
+    std::string json = "{\n  \"bench\": " + quote(bench) +
+                       ",\n  \"notes\": {";
     for (std::size_t i = 0; i < notes.size(); ++i) {
-        json += i ? ", \"" : "\"";
-        kernelJsonEscape(json, notes[i].first);
-        json += "\": \"";
-        kernelJsonEscape(json, notes[i].second);
-        json += "\"";
+        json += i ? ", " : "";
+        json += quote(notes[i].first) + ": " + quote(notes[i].second);
     }
     json += "},\n  \"results\": [\n";
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& e = entries[i];
         char buf[384];
         std::snprintf(buf, sizeof(buf),
-                      "    {\"name\": \"%s\", \"n\": %zu, "
-                      "\"threads\": %zu, \"repeats\": %u, "
-                      "\"seconds_mean\": %.6f, \"seconds_min\": %.6f",
-                      e.name.c_str(), e.n, e.threads, e.repeats,
-                      e.secondsMean, e.secondsMin);
-        json += buf;
+                      ", \"n\": %zu, \"threads\": %zu, "
+                      "\"repeats\": %u, \"seconds_mean\": %.6f, "
+                      "\"seconds_min\": %.6f",
+                      e.n, e.threads, e.repeats, e.secondsMean,
+                      e.secondsMin);
+        json += "    {\"name\": " + quote(e.name) + buf;
         // Memory fields are emitted only when measured so baselines
         // from machines without /proc (or pre-mem baselines) stay
         // byte-identical to the old schema.

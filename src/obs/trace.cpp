@@ -356,14 +356,24 @@ struct EnvInit
     EnvInit()
     {
         if (const char* p = std::getenv("ZKP_TRACE"); p && *p) {
+            static std::string path;
+            path = p;
             startTracing(p);
-            std::atexit([] { stopTracing(); });
+            std::atexit([] {
+                if (stopTracing().empty())
+                    std::fprintf(stderr, "zkp: cannot write ZKP_TRACE "
+                                         "file %s\n", path.c_str());
+            });
         }
         if (const char* p = std::getenv("ZKP_REPORT"); p && *p) {
             static std::string path;
             path = p;
             startRunReport();
-            std::atexit([] { writeRunReport(path); });
+            std::atexit([] {
+                if (!writeRunReport(path))
+                    std::fprintf(stderr, "zkp: cannot write ZKP_REPORT "
+                                         "file %s\n", path.c_str());
+            });
         }
     }
 };
