@@ -87,6 +87,8 @@ runTimings(const std::string& out_path)
     notes.emplace_back("grind_bits",
                        std::to_string(params.grindBits));
     notes.emplace_back("blowup", std::to_string(params.blowup));
+    // Which SHA-256 compression kernel produced these timings.
+    notes.emplace_back("hash_kernel", stark::hashImplName());
 
     TextTable table;
     table.setHeader({"air", "steps", "prove", "verify",

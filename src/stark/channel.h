@@ -27,8 +27,9 @@
 #ifndef ZKP_STARK_CHANNEL_H
 #define ZKP_STARK_CHANNEL_H
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <cstring>
 
 #include "stark/hash.h"
 
@@ -48,8 +49,7 @@ class Channel
     void
     absorbDigest(const Digest& d)
     {
-        absorbTagged(kTagDigest,
-                     std::vector<std::uint8_t>(d.begin(), d.end()));
+        absorbTagged(kTagDigest, d);
     }
 
     /** Absorb one field element (canonical 8-byte LE). */
@@ -116,25 +116,33 @@ class Channel
     static constexpr std::uint8_t kTagSqueeze = 0x05;
     static constexpr std::uint8_t kTagPow = 0x06;
 
-    static std::vector<std::uint8_t>
+    static std::array<std::uint8_t, 8>
     encodeU64(u64 v)
     {
-        std::vector<std::uint8_t> b(8);
+        std::array<std::uint8_t, 8> b{};
         for (std::size_t i = 0; i < 8; ++i)
             b[i] = (std::uint8_t)(v >> (8 * i));
         return b;
     }
 
-    void
-    absorbTagged(std::uint8_t tag,
-                 const std::vector<std::uint8_t>& payload)
+    /** SHA-256(state || tag || payload), assembled on the stack. */
+    template <std::size_t N>
+    Digest
+    hashTagged(std::uint8_t tag,
+               const std::array<std::uint8_t, N>& payload) const
     {
-        std::vector<std::uint8_t> buf;
-        buf.reserve(33 + payload.size());
-        buf.insert(buf.end(), state_.begin(), state_.end());
-        buf.push_back(tag);
-        buf.insert(buf.end(), payload.begin(), payload.end());
-        state_ = hashBytes(buf.data(), buf.size());
+        std::uint8_t buf[sizeof(Digest) + 1 + N];
+        std::memcpy(buf, state_.data(), sizeof(Digest));
+        buf[sizeof(Digest)] = tag;
+        std::memcpy(buf + sizeof(Digest) + 1, payload.data(), N);
+        return hashBytes(buf, sizeof(buf));
+    }
+
+    template <std::size_t N>
+    void
+    absorbTagged(std::uint8_t tag, const std::array<std::uint8_t, N>& payload)
+    {
+        state_ = hashTagged(tag, payload);
     }
 
     /** Big-endian state word @p i (i < 4). */
@@ -151,11 +159,7 @@ class Channel
     bool
     powOk(u64 nonce, unsigned bits) const
     {
-        std::vector<std::uint8_t> buf(state_.begin(), state_.end());
-        buf.push_back(kTagPow);
-        const auto nb = encodeU64(nonce);
-        buf.insert(buf.end(), nb.begin(), nb.end());
-        const Digest h = hashBytes(buf.data(), buf.size());
+        const Digest h = hashTagged(kTagPow, encodeU64(nonce));
         u64 lead = 0;
         for (std::size_t b = 0; b < 8; ++b)
             lead = (lead << 8) | h[b];

@@ -98,6 +98,106 @@ TEST(StarkField, NttRoundTrip)
     EXPECT_EQ(v, orig);
 }
 
+std::vector<std::uint8_t>
+randomBytes(Rng& rng, std::size_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out)
+        b = (std::uint8_t)rng.next();
+    return out;
+}
+
+// FIPS 180-4 appendix B.1: SHA-256("abc").
+constexpr const char* kAbcHex =
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+
+TEST(StarkHash, ShaNiKernelMatchesPortable)
+{
+    if (!shaNiSupported())
+        GTEST_SKIP() << "SHA-NI kernel not available (CPU or build "
+                        "lacks the SHA extensions); portable kernel only";
+#ifdef ZKP_STARK_HAVE_SHA_NI
+    using S = r1cs::Sha256;
+    auto same = [](const S::State& s, const S::Block& b) {
+        return shani::compress(s, b) == S::compress(s, b);
+    };
+    S::State s0{}, s1;
+    S::Block b0{}, b1;
+    s1.fill(0xffffffffu);
+    b1.fill(0xffffffffu);
+    EXPECT_TRUE(same(s0, b0));
+    EXPECT_TRUE(same(s1, b1));
+    EXPECT_TRUE(same(s0, b1));
+    EXPECT_TRUE(same(s1, b0));
+    EXPECT_TRUE(same(S::kIv, b0));
+    Rng rng(15);
+    for (int i = 0; i < 100000; ++i) {
+        S::State s;
+        S::Block b;
+        for (auto& w : s)
+            w = (std::uint32_t)rng.next();
+        for (auto& w : b)
+            w = (std::uint32_t)rng.next();
+        if (!same(s, b)) {
+            ADD_FAILURE() << "kernels differ on random pair " << i;
+            break;
+        }
+    }
+#endif
+}
+
+TEST(StarkHash, KernelsMatchFipsAbcVector)
+{
+    using S = r1cs::Sha256;
+    const std::vector<std::uint8_t> abc = {'a', 'b', 'c'};
+    const auto blocks = S::pad(abc);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(digestHex(detail::stateToDigest(
+                  S::compress(S::kIv, blocks[0]))),
+              kAbcHex);
+#ifdef ZKP_STARK_HAVE_SHA_NI
+    if (shaNiSupported()) {
+        EXPECT_EQ(digestHex(detail::stateToDigest(
+                      shani::compress(S::kIv, blocks[0]))),
+                  kAbcHex);
+    }
+#endif
+    EXPECT_EQ(digestHex(hashBytes(abc.data(), abc.size())), kAbcHex);
+}
+
+TEST(StarkHash, HashBytesMatchesReferenceAtPaddingBoundaries)
+{
+    Rng rng(16);
+    for (std::size_t n : {0, 1, 55, 56, 63, 64, 119, 120, 200}) {
+        const auto msg = randomBytes(rng, n);
+        const sim::Counters before = sim::counters();
+        const Digest d = hashBytes(msg.data(), msg.size());
+        const sim::Counters delta = sim::counters().since(before);
+        EXPECT_EQ(d, r1cs::Sha256::hash(msg)) << "length " << n;
+        // One counted compression per padded block.
+        EXPECT_EQ(delta.prim[(std::size_t)sim::PrimOp::HashCompress],
+                  r1cs::Sha256::pad(msg).size())
+            << "length " << n;
+    }
+}
+
+TEST(StarkHash, HashRowMatchesByteVectorConstruction)
+{
+    Rng rng(17);
+    for (std::size_t width = 1; width <= 17; ++width) {
+        std::vector<Gl> row(width);
+        std::vector<std::uint8_t> bytes;
+        for (auto& x : row) {
+            x = Gl::random(rng);
+            for (std::size_t b = 0; b < 8; ++b)
+                bytes.push_back((std::uint8_t)(x.value() >> (8 * b)));
+        }
+        EXPECT_EQ(hashRow(row.data(), width),
+                  r1cs::Sha256::hash(bytes))
+            << "width " << width;
+    }
+}
+
 TEST(StarkMerkle, OpenVerify)
 {
     Rng rng(10);
